@@ -17,7 +17,7 @@ use lcrs_workloads::{live_trace, TraceMix, TraceOp};
 use crate::decor::{kind_id, Recorder};
 use crate::fixture::{live_preload, live_trace_seed, LIVE_RANGE, LIVE_SLOPE, PRELOAD_TAG_BASE};
 use crate::layers;
-use crate::measure::{delta, dir_bytes, max, median, ratio, wchar, Grouped, Rate, TempDir};
+use crate::measure::{delta, dir_bytes, max, median, ratio, wchar, Fastest, TempDir};
 use crate::{overhead, EndToEnd, Outcome, RunConfig, Scale, Stages, PAGE};
 
 const CACHE: usize = 32;
@@ -65,10 +65,11 @@ struct Phase {
     ops: u64,
     mutations: u64,
     user_bytes: u64,
-    busy_s: f64,
-    rate: Rate,
-    query_ms: Grouped,
-    write_ms: Grouped,
+    /// Client calls keyed by their place in the traces: queries, writes,
+    /// and `begin_merge`/`commit_merge`.
+    query_ms: Fastest,
+    write_ms: Fastest,
+    merge_ms: Fastest,
     queries: u64,
     reads: u64,
     writes: u64,
@@ -84,15 +85,17 @@ struct Phase {
     open_s: Vec<f64>,
 }
 
+/// Run one client call on the clock; returns its latency in ms.
+fn timed(call: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    call();
+    t.elapsed().as_secs_f64() * 1e3
+}
+
 impl Phase {
-    /// Run one client call on the clock; returns its latency in ms.
-    fn timed(&mut self, call: impl FnOnce()) -> f64 {
-        let t = Instant::now();
-        call();
-        let secs = t.elapsed().as_secs_f64();
-        self.busy_s += secs;
-        self.rate.add(0, secs);
-        secs * 1e3
+    /// One pass of client calls, each at its fastest repetition, ms.
+    fn pass_ms(&self) -> f64 {
+        self.query_ms.total_ms() + self.write_ms.total_ms() + self.merge_ms.total_ms()
     }
 }
 
@@ -118,10 +121,20 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
     v
 }
 
-/// Replay `trace` once on a fresh set-up, then reopen its directory and
-/// compare the whole live set with the model.
-fn replay(s: Setup, trace: &[TraceOp], model0: &Model, p: &mut Phase, rec: Option<&Recorder>) {
+/// Replay trace `ti` once on a fresh set-up, then reopen its directory
+/// and compare the whole live set with the model.
+fn replay(
+    s: Setup,
+    (ti, trace): (usize, &[TraceOp]),
+    model0: &Model,
+    p: &mut Phase,
+    rec: Option<&Recorder>,
+) {
     let Setup { mut live, dir } = s;
+    // Call keys: op `i` of trace `ti`, and a merge call before op `i`
+    // (or after the last op).
+    let op_key = |i: usize| ti * trace.len() + i;
+    let merge_key = |i: usize| ti * (trace.len() + 1) + i;
     let mut model = model0.clone();
     let scope = live.core().scope().clone();
     let io0 = scope.stats();
@@ -129,30 +142,32 @@ fn replay(s: Setup, trace: &[TraceOp], model0: &Model, p: &mut Phase, rec: Optio
     let epoch0 = live.merge_epoch();
     for (i, op) in trace.iter().enumerate() {
         if i > 0 && i % MERGE_EVERY == 0 {
-            let ms = p.timed(|| {
+            let ms = timed(|| {
                 live.begin_merge();
             });
+            p.merge_ms.record(merge_key(i), ms);
             p.begin_ms.push(ms);
         }
         if i > MERGE_EVERY && i % MERGE_EVERY == COMMIT_AFTER {
             let mut ok = true;
-            let ms = p.timed(|| ok = live.commit_merge().is_ok());
+            let ms = timed(|| ok = live.commit_merge().is_ok());
+            p.merge_ms.record(merge_key(i), ms);
             p.commit_ms.push(ms);
             p.failed += u64::from(!ok);
         }
         match *op {
             TraceOp::Insert { x, y, tag } => {
                 let mut ok = true;
-                let ms = p.timed(|| ok = live.insert(x, y, tag).is_ok());
-                p.write_ms.push(ms);
+                let ms = timed(|| ok = live.insert(x, y, tag).is_ok());
+                p.write_ms.record(op_key(i), ms);
                 p.failed += u64::from(!ok);
                 model.insert(tag, (x, y));
                 p.user_bytes += 24;
             }
             TraceOp::Delete { tag } => {
                 let mut ok = true;
-                let ms = p.timed(|| ok = matches!(live.remove(tag), Ok(true)));
-                p.write_ms.push(ms);
+                let ms = timed(|| ok = matches!(live.remove(tag), Ok(true)));
+                p.write_ms.record(op_key(i), ms);
                 p.failed += u64::from(!ok);
                 model.remove(&tag);
                 p.user_bytes += 8;
@@ -161,8 +176,8 @@ fn replay(s: Setup, trace: &[TraceOp], model0: &Model, p: &mut Phase, rec: Optio
                 let before = scope.stats();
                 let start = Instant::now();
                 let mut ids = Vec::new();
-                let ms = p.timed(|| ids = live.query_below(m, c, inclusive));
-                p.query_ms.push(ms);
+                let ms = timed(|| ids = live.query_below(m, c, inclusive));
+                p.query_ms.record(op_key(i), ms);
                 let io = scope.stats().since(before);
                 if let Some(rec) = rec {
                     rec.record(kind_id("live") as u8, 0, start, io, ids.len());
@@ -175,18 +190,14 @@ fn replay(s: Setup, trace: &[TraceOp], model0: &Model, p: &mut Phase, rec: Optio
         }
         p.ops += 1;
         p.mutations += u64::from(!matches!(op, TraceOp::Query { .. }));
-        p.rate.add(1, 0.0);
     }
     if live.merge_in_progress() {
         let mut ok = true;
-        let ms = p.timed(|| ok = live.commit_merge().is_ok());
+        let ms = timed(|| ok = live.commit_merge().is_ok());
+        p.merge_ms.record(merge_key(trace.len()), ms);
         p.commit_ms.push(ms);
         p.failed += u64::from(!ok);
     }
-    // One latency/throughput group per replay.
-    p.rate.cut();
-    p.query_ms.cut();
-    p.write_ms.cut();
     p.writes += scope.stats().since(io0).writes;
     p.wchar = p.wchar.zip(delta(w0, wchar())).map(|(a, b)| a + b);
     p.epochs += live.merge_epoch() - epoch0;
@@ -246,11 +257,11 @@ fn passes(
     let mut p = Phase { wchar: Some(0), ..Phase::default() };
     let mut elapsed = 0.0;
     while p.replays == 0 || elapsed < seconds || setup_s.len() < inputs.setups {
-        for trace in &inputs.traces {
+        for (ti, trace) in inputs.traces.iter().enumerate() {
             let (s, secs) = setup(&inputs.preload, stages);
             setup_s.push(secs);
             let t = Instant::now();
-            replay(s, trace, &inputs.model0, &mut p, rec);
+            replay(s, (ti, trace), &inputs.model0, &mut p, rec);
             elapsed += t.elapsed().as_secs_f64();
         }
     }
@@ -264,7 +275,8 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     let seconds = if cfg.trace { cfg.seconds / 2.0 } else { cfg.seconds };
     let plain = passes(&inputs, seconds, None, &mut e.setup_s, &mut stages);
     if !cfg.trace {
-        e.rate = plain.rate;
+        e.ops_per_pass = inputs.traces.iter().map(|t| t.len() as u64).sum();
+        e.pass_ms = plain.pass_ms();
         e.read_ios_per_query = ratio(plain.reads as f64, plain.queries as f64);
         e.write_ios_per_op = ratio(plain.writes as f64, plain.mutations as f64);
         e.write_amp = plain.wchar.map(|w| w as f64 / plain.user_bytes as f64);
@@ -301,8 +313,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
         m.set("device.hit_ns", hit, "ns");
     }
     drop(probe);
-    let per_op = |p: &Phase| ratio(p.busy_s, p.ops as f64);
-    m.set("trace.overhead_frac", overhead(per_op(&t), per_op(&plain)), "frac");
+    m.set("trace.overhead_frac", overhead(t.pass_ms(), plain.pass_ms()), "frac");
     layers::write_spans("live_churn", cfg.seed, &spans, &[]);
     Outcome { attempted: plain.ops + t.ops, failed: plain.failed + t.failed, metrics: m }
 }

@@ -27,60 +27,38 @@ pub fn max(v: &[f64]) -> f64 {
     v.iter().copied().fold(0.0, f64::max)
 }
 
-/// Latency samples cut into groups (a pass, a replay, or a set-up). A
-/// percentile is taken within each group, and the reading is the faster
-/// quartile over groups: load from outside the process only ever slows a
-/// group down, so the faster quartile follows the code rather than the
-/// neighbours, while a change that slows every group still shows in full.
+/// Wall time of each distinct call a pass makes, kept at the fastest of
+/// its repetitions. Every pass repeats the same calls on the same state,
+/// so a call's repetitions do the same work; what differs is the host.
+/// Its CPUs change speed several times a second under outside load (a
+/// fixed loop reads 12 ms in one stretch and 20 ms in the next, with no
+/// steal time), and that only ever slows a call down, so the fastest
+/// repetition follows the code. Percentiles are taken over the distinct
+/// calls: a tail is the work of the slowest calls, not a slow moment.
 #[derive(Debug, Default)]
-pub struct Grouped(Vec<Vec<f64>>);
+pub struct Fastest(Vec<f64>);
 
-impl Grouped {
-    pub fn push(&mut self, v: f64) {
-        match self.0.last_mut() {
-            Some(g) => g.push(v),
-            None => self.0.push(vec![v]),
+impl Fastest {
+    /// One repetition of call `key` took `ms`.
+    pub fn record(&mut self, key: usize, ms: f64) {
+        if self.0.len() <= key {
+            self.0.resize(key + 1, f64::INFINITY);
         }
+        self.0[key] = self.0[key].min(ms);
     }
 
-    /// Close the current group (no-op while it is empty).
-    pub fn cut(&mut self) {
-        if self.0.last().is_some_and(|g| !g.is_empty()) {
-            self.0.push(Vec::new());
-        }
+    fn seen(&self) -> Vec<f64> {
+        self.0.iter().copied().filter(|v| v.is_finite()).collect()
     }
 
+    /// Nearest-rank percentile over the distinct calls.
     pub fn percentile(&self, p: f64) -> f64 {
-        let per: Vec<f64> =
-            self.0.iter().filter(|g| !g.is_empty()).map(|g| percentile(g, p)).collect();
-        percentile(&per, 25.0)
-    }
-}
-
-/// Completed operations per second, per group of calls; the reading is
-/// the faster quartile over groups (see [`Grouped`]).
-#[derive(Debug, Default)]
-pub struct Rate {
-    rates: Vec<f64>,
-    ops: u64,
-    secs: f64,
-}
-
-impl Rate {
-    pub fn add(&mut self, ops: u64, secs: f64) {
-        self.ops += ops;
-        self.secs += secs;
+        percentile(&self.seen(), p)
     }
 
-    pub fn cut(&mut self) {
-        if self.ops > 0 {
-            self.rates.push(ratio(self.ops as f64, self.secs));
-        }
-        (self.ops, self.secs) = (0, 0.0);
-    }
-
-    pub fn upper_quartile(&self) -> f64 {
-        percentile(&self.rates, 75.0)
+    /// One pass at the fastest repetition of every call, ms.
+    pub fn total_ms(&self) -> f64 {
+        self.seen().iter().sum()
     }
 }
 
@@ -222,6 +200,18 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 100.0);
         assert_eq!(percentile(&[3.0], 99.0), 3.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn fastest_keeps_each_calls_minimum() {
+        let mut f = Fastest::default();
+        f.record(2, 5.0);
+        f.record(0, 3.0);
+        f.record(2, 4.0);
+        f.record(0, 6.0);
+        assert_eq!(f.total_ms(), 7.0);
+        assert_eq!(f.percentile(50.0), 3.0);
+        assert_eq!(f.percentile(100.0), 4.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use lcrs_extmem::{Device, DeviceConfig, ReopenBackend};
 use crate::decor::{kind_id, Recorder, Traced};
 use crate::fixture::{matches, Data};
 use crate::layers::{self, ROUTED};
-use crate::measure::{delta, dir_bytes, median, ratio, wchar, Grouped, Rate, TempDir};
+use crate::measure::{delta, dir_bytes, median, ratio, wchar, Fastest, TempDir};
 use crate::{overhead, EndToEnd, Outcome, RunConfig, Stages, PAGE, WINDOW};
 
 /// Cache pages per reopened device.
@@ -47,7 +47,7 @@ struct Setup {
     catalog_bytes: u64,
 }
 
-fn setup(data: &Data, probes: &[Query], write_ms: &mut Grouped, stages: &mut Stages) -> Setup {
+fn setup(data: &Data, probes: &[Query], write_ms: &mut Fastest, stages: &mut Stages) -> Setup {
     let t0 = Instant::now();
     let w0 = wchar();
     let d2 = Device::new(DeviceConfig::new(PAGE, CACHE));
@@ -65,7 +65,7 @@ fn setup(data: &Data, probes: &[Query], write_ms: &mut Grouped, stages: &mut Sta
         let index = set.structure(slot);
         let t = Instant::now();
         cat.add(&format!("{slot:02}-{}", index.name()), index).expect("persist catalog entry");
-        write_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        write_ms.record(slot, t.elapsed().as_secs_f64() * 1e3);
         entry_pages.push(index.device().pages_allocated());
     }
     set.save_calibration_to_catalog(&cat).expect("persist calibration");
@@ -99,9 +99,8 @@ pub fn traced_set(cat: &SnapshotCatalog, rec: &Arc<Recorder>) -> IndexSet {
 #[derive(Default)]
 struct Phase {
     window_ms: Vec<f64>,
-    lat: Grouped,
-    rate: Rate,
-    busy_s: f64,
+    /// Window latency, keyed by the window's place in the stream.
+    lat: Fastest,
     queries: u64,
     reads: u64,
     failed: u64,
@@ -141,9 +140,7 @@ fn serve(
             let rep = srv.run_trace(&arrivals, true);
             let wall = t.elapsed().as_secs_f64();
             p.window_ms.push(wall * 1e3);
-            p.lat.push(wall * 1e3);
-            p.rate.add(chunk.len() as u64, wall);
-            p.busy_s += wall;
+            p.lat.record(ci, wall * 1e3);
             p.reads += rep.total.reads;
             if rec.is_some() {
                 let t = Instant::now();
@@ -163,8 +160,6 @@ fn serve(
                 }
             }
         }
-        p.lat.cut();
-        p.rate.cut();
         if start.elapsed().as_secs_f64() >= seconds {
             return;
         }
@@ -188,14 +183,14 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     for _ in 0..rounds {
         drop(ready.take()); // remove the previous catalog before writing the next
         let mut s = setup(&data, &probes, &mut e.write_ms, &mut stages);
-        e.write_ms.cut();
         e.setup_s.push(s.secs);
         serve(&mut s.server, &stream, &refs, seconds / rounds as f64, None, &mut plain);
         ready = Some(s);
     }
     let s = ready.expect("at least one set-up");
     if !cfg.trace {
-        e.rate = plain.rate;
+        e.ops_per_pass = stream.len() as u64;
+        e.pass_ms = plain.lat.total_ms();
         e.query_ms = plain.lat;
         e.read_ios_per_query = ratio(plain.reads as f64, plain.queries as f64);
         let pages: u64 = s.entry_pages.iter().sum();
@@ -235,8 +230,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     m.set("catalog.bytes", s.catalog_bytes as f64, "B");
     m.set("device.pages.2d", s.pages2 as f64, "count");
     m.set("device.pages.3d", s.pages3 as f64, "count");
-    let per_query = |p: &Phase| ratio(p.busy_s, p.queries as f64);
-    m.set("trace.overhead_frac", overhead(per_query(&t), per_query(&plain)), "frac");
+    m.set("trace.overhead_frac", overhead(t.lat.total_ms(), plain.lat.total_ms()), "frac");
 
     let lines: Vec<String> = (0..windows)
         .map(|w| format!("window\t{w}\t{}\t{}", (t.window_ms[w] * 1e6) as u64, t.plan_ns[w]))
@@ -247,8 +241,9 @@ pub fn run(cfg: &RunConfig) -> Outcome {
 }
 
 /// The planner routes no halfplane to `hs2d` on this deployment, so the
-/// traced run also forces the stream's first 1,600 halfplanes onto the
-/// paper's structure and onto the scan, window by window, and prints busy
+/// traced run also forces up to 1,600 of the stream's halfplanes (1,440
+/// at the benchmark's scale) onto the paper's structure and onto the
+/// scan, window by window, and prints busy
 /// time and reads per query of each to stderr (after every metric is
 /// taken, so the forced calls never reach the per-layer readings).
 fn forced_halfplanes(set: &IndexSet, stream: &[Query], rec: &Recorder) {

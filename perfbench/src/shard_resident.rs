@@ -15,7 +15,7 @@ use lcrs_extmem::{DeviceConfig, DeviceHandle};
 use crate::decor::{kind_id, Recorder, Traced};
 use crate::fixture::{matches, Data};
 use crate::layers::{self, ROUTED};
-use crate::measure::{max, median, ratio, Grouped, Rate};
+use crate::measure::{max, median, ratio, Fastest};
 use crate::{overhead, EndToEnd, Outcome, RunConfig, Stages, PAGE, WINDOW};
 
 pub const SHARDS: usize = 2;
@@ -23,11 +23,11 @@ pub const SHARDS: usize = 2;
 /// window never evicts.
 const CACHE: usize = 65_536;
 
-/// Build-side records of one set-up: per shard build, its wall time and
-/// the model page writes it made.
+/// Build-side records: each shard's build time, keyed by shard, and the
+/// model page writes of every build.
 #[derive(Default)]
 struct Builds {
-    ms: Grouped,
+    ms: Fastest,
     writes: Vec<u64>,
 }
 
@@ -53,17 +53,17 @@ fn build_recorded(
     let cfg = ShardConfig { shards: SHARDS, device: DeviceConfig::new(PAGE, CACHE) };
     let shard = Cell::new(0);
     let mut set = ShardedIndexSet::build(&data.pts2, &data.pts3, &cfg, |h2, h3, p2, p3| {
+        let id = shard.replace(shard.get() + 1);
         let t = Instant::now();
         let base = full_index_set(h2, h3, p2, p3);
         let mut b = builds.borrow_mut();
-        b.ms.push(t.elapsed().as_secs_f64() * 1e3);
+        b.ms.record(id, t.elapsed().as_secs_f64() * 1e3);
         b.writes.push(h2.stats().writes + h3.stats().writes);
         let Some(rec) = rec else { return base };
         let mut traced = IndexSet::new();
         for slot in 0..base.len() {
-            traced.add(Traced::wrap(base.structure(slot).fork_reader(), rec, shard.get()));
+            traced.add(Traced::wrap(base.structure(slot).fork_reader(), rec, id));
         }
-        shard.set(shard.get() + 1);
         traced
     });
     let t_build = t0.elapsed().as_secs_f64();
@@ -107,9 +107,8 @@ fn pages_of(set: &ShardedIndexSet, kind: &str) -> u64 {
 #[derive(Default)]
 struct Phase {
     window_ms: Vec<f64>,
-    lat: Grouped,
-    rate: Rate,
-    busy_s: f64,
+    /// Window latency, keyed by the window's place in the stream.
+    lat: Fastest,
     queries: u64,
     reads: u64,
     failed: u64,
@@ -143,9 +142,7 @@ fn query(
             let rep = set.execute_parallel(chunk, 1, true);
             let wall = t.elapsed().as_secs_f64();
             p.window_ms.push(wall * 1e3);
-            p.lat.push(wall * 1e3);
-            p.rate.add(chunk.len() as u64, wall);
-            p.busy_s += wall;
+            p.lat.record(ci, wall * 1e3);
             p.reads += rep.total.reads;
             p.fanout += rep.fanout.iter().sum::<usize>() as f64;
             if rec.is_some() {
@@ -160,8 +157,6 @@ fn query(
                 }
             }
         }
-        p.lat.cut();
-        p.rate.cut();
         if start.elapsed().as_secs_f64() >= seconds {
             return;
         }
@@ -208,7 +203,6 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     for _ in 0..rounds {
         drop(ready.take());
         let (set, secs) = build_recorded(&data, &probes, None, &mut stages, &builds);
-        builds.borrow_mut().ms.cut();
         e.setup_s.push(secs);
         query(&set, &stream, &refs, seconds / rounds as f64, None, &mut plain);
         ready = Some(set);
@@ -217,7 +211,8 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     let builds = builds.into_inner();
     let resident: u64 = stores(&set).iter().map(|h| h.pages_allocated() * PAGE as u64).sum();
     if !cfg.trace {
-        e.rate = plain.rate;
+        e.ops_per_pass = stream.len() as u64;
+        e.pass_ms = plain.lat.total_ms();
         e.query_ms = plain.lat;
         e.write_ms = builds.ms;
         e.read_ios_per_query = ratio(plain.reads as f64, plain.queries as f64);
@@ -275,8 +270,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
         })
         .collect();
     m.set("shard.gather_ms_per_window", median(&gather_ms), "ms");
-    let per_query = |p: &Phase| ratio(p.busy_s, p.queries as f64);
-    m.set("trace.overhead_frac", overhead(per_query(&t), per_query(&plain)), "frac");
+    m.set("trace.overhead_frac", overhead(t.lat.total_ms(), plain.lat.total_ms()), "frac");
 
     let lines: Vec<String> = (0..windows)
         .map(|w| {

@@ -63,6 +63,12 @@ stage bench-mmap       cargo bench -q -p lcrs-bench --bench exp_mmap -- --smoke
 stage bench-serve      cargo bench -q -p lcrs-bench --bench exp_serve -- --smoke
 stage bench-lift       cargo bench -q -p lcrs-bench --bench exp_lift -- --smoke
 
+# The repo benchmark's own fast tests (perfbench/, a separate cargo
+# workspace): metric names, exact repeats of the read workloads' count
+# metrics, and bit-identical per-slot IO on a reopened catalog.
+stage perfbench        cargo test --release --manifest-path perfbench/Cargo.toml --test equivalence --test names --test determinism
+skip perfbench-determinism-live "known failure: background-merge IOs land in the live index's anchor scope, so live_churn read counts depend on thread interleaving"
+
 # Read-IO regression gate: smoke read counts are deterministic (seeded
 # workloads, pinned cache geometry); wall-clock is recorded in every
 # result and mirrored into the baseline but not gated here (noisy on CI;

@@ -54,7 +54,9 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use lcrs_extmem::{Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, SnapshotError};
+use lcrs_extmem::{
+    Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, ReopenBackend, SnapshotError,
+};
 use lcrs_halfspace::cost::CostHint;
 use lcrs_halfspace::hs2d::Hs2dConfig;
 use lcrs_halfspace::leveled::{Level, LevelBacking, LeveledHalfspace2, MergeHandle};
@@ -430,12 +432,8 @@ impl LiveIndex {
                     ),
                 });
             }
-            let device = Device::open_snapshot(cat.pages_path(&label), cache_pages)?;
-            let mut lr = MetaReader::open(&cat.meta_path(&label))?;
-            let kind = lr.str()?;
-            if kind != "live-level" {
-                return Err(lr.error(format!("{label:?} metadata declares kind {kind:?}")));
-            }
+            let device = cat.open_device(&label, cache_pages, ReopenBackend::Pread)?;
+            let mut lr = cat.open_meta(&label)?;
             let scoped = (*device).scoped_to(&anchor);
             let structure = HalfspaceRS2::load(&scoped, &mut lr)?;
             let n = lr.seq()?;

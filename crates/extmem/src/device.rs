@@ -449,6 +449,15 @@ impl DeviceHandle {
         Arc::ptr_eq(&self.store, &other.store)
     }
 
+    /// The page store's process-unique identity: equal for every handle,
+    /// fork and scoped view onto one store, never reused within a process.
+    /// Lets a caller remember which stores it has seen (e.g. the snapshot
+    /// catalog persisting each shared device once) without holding a
+    /// handle that would keep the pages alive.
+    pub fn store_id(&self) -> u64 {
+        self.store.id
+    }
+
     /// Allocate `count` fresh zeroed pages with consecutive ids; returns the
     /// first id. Allocation itself is free (it models formatting, not IO).
     /// Panics on a frozen store.
@@ -842,6 +851,11 @@ mod tests {
         assert_eq!(fork.stats().reads, 1);
         assert_eq!(dev.stats().reads, 1, "fork IOs must not leak into the primary scope");
         assert!(fork.same_store(&dev));
+        // Store identity follows the pages, not the scope.
+        let other = Device::new(DeviceConfig::new(128, 4));
+        assert_eq!(fork.store_id(), dev.store_id());
+        assert_eq!((*other).scoped_to(&dev).store_id(), other.store_id());
+        assert_ne!(other.store_id(), dev.store_id());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   prefers more shards for narrow traffic only when routing pays for
 //!   the fan-out.
 
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use lcrs::engine::{
@@ -186,6 +187,39 @@ fn reopened_sharded_catalog_is_bit_identical() {
         assert_eq!(re_par.answers, original.answers, "S={s} reopened parallel");
         assert_eq!(re_par.total, original.total, "S={s} reopened parallel IO");
     }
+}
+
+#[test]
+fn sharded_catalog_stores_each_shard_device_once() {
+    // Every shard builds its fifteen slots on one 2D and one 3D device;
+    // each shard's sub-catalog holds exactly one pages file per distinct
+    // device and still reopens bit-identically.
+    let st = state();
+    let sharded = &st.tiers[1];
+    assert_eq!(sharded.shards(), 2);
+    let dir = TempDir::new("lcrs-shard-catalog-dedup");
+    sharded.save_to_catalog(dir.path()).unwrap();
+    for shard in 0..2 {
+        let set = sharded.shard_set(shard);
+        let stores: BTreeSet<u64> =
+            (0..set.len()).map(|slot| set.structure(slot).device().store_id()).collect();
+        assert_eq!(stores.len(), 2, "shard {shard}: one 2D and one 3D device");
+        let pages = std::fs::read_dir(dir.path().join(format!("shard{shard}")))
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".pages"))
+            .count();
+        assert_eq!(pages, stores.len(), "shard {shard}: one pages file per device");
+    }
+    let reopened = ShardedIndexSet::from_catalog(dir.path(), CACHE_PAGES).unwrap();
+    let original = sharded.execute(&st.queries, true);
+    let re_run = reopened.execute(&st.queries, true);
+    check_report(&st, 2, &re_run, "deduplicated");
+    assert_eq!(re_run.answers, original.answers, "answers");
+    assert_eq!(re_run.total, original.total, "aggregate IO");
+    let io = |r: &ShardedReport| r.outcomes.iter().map(|o| o.io).collect::<Vec<_>>();
+    assert_eq!(io(&re_run), io(&original), "per-query IO");
+    let per_shard = |r: &ShardedReport| r.per_shard.iter().map(|p| p.io).collect::<Vec<_>>();
+    assert_eq!(per_shard(&re_run), per_shard(&original), "per-shard IO");
 }
 
 #[test]

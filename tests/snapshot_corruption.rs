@@ -7,9 +7,13 @@
 //! so corruption is always an open-time error, never a read-time fault.
 //! Empty-device and single-page snapshots are pinned as working edge
 //! cases, and the structure-metadata envelope gets the same treatment
-//! (including loading one structure's metadata as another kind).
+//! (including loading one structure's metadata as another kind). The
+//! catalog manifest is pinned too: an old unversioned layout and a
+//! tampered path-escaping stem fail typed, and one bad page in a pages
+//! file shared by several entries fails every one of them alike.
 
-use lcrs::engine::{load_index, RangeIndex};
+use lcrs::baselines::ExternalScan;
+use lcrs::engine::{load_index, RangeIndex, SnapshotCatalog};
 use lcrs::extmem::{
     Device, DeviceConfig, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError, TempDir,
 };
@@ -279,4 +283,127 @@ fn every_snapshot_error_displays_its_offsets() {
     assert!(msg.contains("offset"), "message {msg:?} must name the offset");
     let source: &dyn std::error::Error = &err;
     assert!(source.source().is_none());
+}
+
+/// Hand-write a catalog manifest (`__catalog.meta`) into `dir`.
+fn write_manifest(dir: &Path, fill: impl FnOnce(&mut MetaWriter)) {
+    let mut w = MetaWriter::new();
+    fill(&mut w);
+    w.write_to_path(&dir.join("__catalog.meta")).unwrap();
+}
+
+/// The current manifest layout: magic, version, then (label, kind, pages).
+fn write_v2_manifest(dir: &Path, entries: &[(&str, &str, &str)]) {
+    write_manifest(dir, |w| {
+        w.str("lcrs-catalog");
+        w.u64(2);
+        w.seq(entries.len());
+        for (label, kind, pages) in entries {
+            w.str(label);
+            w.str(kind);
+            w.str(pages);
+        }
+    });
+}
+
+#[test]
+fn old_and_unknown_catalog_manifests_are_typed_errors() {
+    let dir = TempDir::new("lcrs-corrupt-manifest");
+    // The unversioned layout: a bare sequence of (label, kind) pairs.
+    for entries in [vec![], vec![("hs", "hs2d"), ("sc", "scan")]] {
+        write_manifest(dir.path(), |w| {
+            w.seq(entries.len());
+            for (label, kind) in &entries {
+                w.str(label);
+                w.str(kind);
+            }
+        });
+        match SnapshotCatalog::open(dir.path()) {
+            Err(SnapshotError::Meta { offset, .. }) => assert_eq!(offset, 20, "fails at the magic"),
+            other => panic!("old layout must fail typed, got ok={}", other.is_ok()),
+        }
+    }
+    // Right magic, a version this reader does not know.
+    for version in [1, 3] {
+        write_manifest(dir.path(), |w| {
+            w.str("lcrs-catalog");
+            w.u64(version);
+            w.seq(0);
+        });
+        match SnapshotCatalog::open(dir.path()) {
+            Err(SnapshotError::Meta { detail, .. }) => {
+                assert!(detail.contains("version"), "{detail:?}")
+            }
+            other => panic!("version {version} must fail typed, got ok={}", other.is_ok()),
+        }
+    }
+    // Another engine file's magic.
+    write_manifest(dir.path(), |w| {
+        w.str("lcrs-shards");
+        w.u64(2);
+    });
+    assert!(matches!(SnapshotCatalog::open(dir.path()), Err(SnapshotError::Meta { .. })));
+}
+
+#[test]
+fn tampered_manifest_paths_cannot_leave_the_catalog() {
+    let dir = TempDir::new("lcrs-corrupt-traversal");
+    let cat_dir = dir.file("cat");
+    let dev = Device::new(DeviceConfig::new(1024, 0));
+    let pts = points2(Dist2::Uniform, 200, 1 << 18, 4);
+    let sc = ExternalScan::build(&dev, &pts);
+    dev.freeze();
+    SnapshotCatalog::create(&cat_dir).unwrap().add("sc", &sc).unwrap();
+    // A victim one level up that a `../x` stem would name.
+    let victim = dir.file("x.pages");
+    std::fs::copy(cat_dir.join("sc.pages"), &victim).unwrap();
+
+    for (label, pages) in [("sc", "../x"), ("../x", "sc"), ("sc", ""), ("sc", "__catalog")] {
+        write_v2_manifest(&cat_dir, &[(label, "scan", pages)]);
+        assert!(
+            matches!(
+                SnapshotCatalog::open(&cat_dir),
+                Err(SnapshotError::InvalidLabel { .. } | SnapshotError::ReservedLabel { .. })
+            ),
+            "label {label:?} / pages {pages:?} must be refused on open"
+        );
+    }
+    assert!(victim.exists(), "nothing outside the catalog was touched");
+
+    // The untampered manifest still opens and loads.
+    write_v2_manifest(&cat_dir, &[("sc", "scan", "sc")]);
+    let cat = SnapshotCatalog::open(&cat_dir).unwrap();
+    assert_eq!(cat.load("sc", 0).unwrap().name(), "scan");
+}
+
+#[test]
+fn a_bad_page_in_a_shared_file_fails_every_referencing_entry_alike() {
+    let dir = TempDir::new("lcrs-corrupt-shared");
+    let cat_dir = dir.file("cat");
+    let dev = Device::new(DeviceConfig::new(1024, 0));
+    let pts = points2(Dist2::Uniform, 300, 1 << 18, 5);
+    let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
+    let sc = ExternalScan::build(&dev, &pts);
+    dev.freeze();
+    let mut cat = SnapshotCatalog::create(&cat_dir).unwrap();
+    cat.add("hs", &hs).unwrap();
+    cat.add("sc", &sc).unwrap();
+    let shared = cat_dir.join("hs.pages");
+    mutate(&shared, &shared, |b| {
+        let n = b.len();
+        b[n - 3] ^= 0x04;
+    });
+
+    let cat = SnapshotCatalog::open(&cat_dir).unwrap();
+    let mut seen = Vec::new();
+    for backend in [ReopenBackend::Pread, ReopenBackend::Mmap] {
+        let all = cat.load_all_as(0, backend).err().expect("load_all must fail");
+        seen.push(format!("{all:?}"));
+        for label in ["hs", "sc"] {
+            let one = cat.load_as(label, 0, backend).err().expect("load must fail");
+            seen.push(format!("{one:?}"));
+        }
+        assert!(matches!(all, SnapshotError::PageChecksum { .. }), "{all:?}");
+    }
+    assert!(seen.iter().all(|e| *e == seen[0]), "one typed error everywhere: {seen:?}");
 }

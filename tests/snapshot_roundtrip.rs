@@ -27,6 +27,7 @@ use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, Shallo
 use lcrs::halfspace::{DynamicHalfspace2, KnnStructure, PartitionTree};
 use lcrs::workloads::{halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape};
 use lcrs::workloads::{Dist2, Dist3};
+use std::path::Path;
 
 const PAGE: usize = 1024;
 const CACHE: usize = 128;
@@ -334,10 +335,34 @@ fn catalog_persists_and_reloads_a_batch_executors_worth() {
     }
 }
 
+/// Names of the files in `dir` ending in `.<ext>`, sorted.
+fn files_with_ext(dir: &Path, ext: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(&format!(".{ext}")))
+        .collect();
+    names.sort();
+    names
+}
+
+/// `re` answers `queries` exactly like `orig`: same answers, same
+/// per-query and aggregate IOs, starting from a cold scope.
+fn assert_same_run(orig: &dyn RangeIndex, re: &dyn RangeIndex, queries: &[Query], what: &str) {
+    let mem = BatchExecutor::new(orig).keep_answers(true).run_batched(queries);
+    let rep = BatchExecutor::new(re).keep_answers(true).run_batched(queries);
+    assert_eq!(rep.answers, mem.answers, "{what}: answers");
+    assert_eq!(rep.total, mem.total, "{what}: aggregate IO");
+    let per_query =
+        |r: &lcrs::engine::BatchReport| r.outcomes.iter().map(|o| o.io).collect::<Vec<_>>();
+    assert_eq!(per_query(&rep), per_query(&mem), "{what}: per-query IO");
+}
+
 #[test]
 fn snapshots_survive_indexes_sharing_one_device() {
-    // Two structures on one device snapshot that device twice — each
-    // catalog entry stays self-contained and both reload correctly.
+    // Two structures on one device: the catalog writes that device's
+    // pages once, and both entries reopen on it with cold, independent
+    // scopes that measure exactly what the in-memory originals do.
     let dir = TempDir::new("lcrs-catalog-shared");
     let pts = points2(Dist2::Clustered, 500, 1 << 18, 7);
     let dev = warm_device();
@@ -347,15 +372,78 @@ fn snapshots_survive_indexes_sharing_one_device() {
     let mut cat = SnapshotCatalog::create(dir.file("cat")).unwrap();
     cat.add("hs", &hs).unwrap();
     cat.add("sc", &sc).unwrap();
+    assert_eq!(files_with_ext(&dir.file("cat"), "pages"), ["hs.pages"]);
+    assert_eq!(files_with_ext(&dir.file("cat"), "meta"), ["__catalog.meta", "hs.meta", "sc.meta"]);
+
     let queries = halfplane_queries(&pts, 30, 8);
     let cat = SnapshotCatalog::open(dir.file("cat")).unwrap();
-    for (orig, label) in [(&hs as &dyn RangeIndex, "hs"), (&sc, "sc")] {
-        let re = cat.load(label, CACHE).unwrap();
-        let mem = BatchExecutor::new(orig).keep_answers(true).run_batched(&queries);
-        let rep = BatchExecutor::new(&*re).keep_answers(true).run_batched(&queries);
-        assert_eq!(rep.answers, mem.answers, "{label}");
-        assert_eq!(rep.total, mem.total, "{label}");
+    assert_eq!(cat.entries().iter().map(|e| e.pages.as_str()).collect::<Vec<_>>(), ["hs", "hs"]);
+    let loaded = cat.load_all(CACHE).unwrap();
+    assert!(loaded[0].device().same_store(loaded[1].device()), "one file, opened once");
+    for re in &loaded {
+        assert_eq!(re.device().stats(), IoStats::default(), "{}: cold on reopen", re.name());
     }
+    let originals: [(&dyn RangeIndex, &str); 2] = [(&hs, "hs"), (&sc, "sc")];
+    assert_same_run(&hs, &*loaded[0], &queries, "hs via load_all");
+    assert_eq!(
+        loaded[1].device().stats(),
+        IoStats::default(),
+        "the second entry's scope sees none of the first entry's IOs"
+    );
+    assert_same_run(&sc, &*loaded[1], &queries, "sc via load_all");
+    for (orig, label) in originals {
+        let re = cat.load(label, CACHE).unwrap();
+        assert_same_run(orig, &*re, &queries, label);
+    }
+}
+
+#[test]
+fn removal_keeps_a_shared_pages_file_until_its_last_reference() {
+    let dir = TempDir::new("lcrs-catalog-shared-remove");
+    let cat_dir = dir.file("cat");
+    let pts = points2(Dist2::Uniform, 400, 1 << 18, 21);
+    let queries = halfplane_queries(&pts, 30, 22);
+    let dev = warm_device();
+    let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
+    let sc = ExternalScan::build(&dev, &pts);
+    dev.freeze();
+    let kd_dev = warm_device();
+    let kd = ExternalKdTree::build(&kd_dev, &pts);
+    kd_dev.freeze();
+    let mut cat = SnapshotCatalog::create(&cat_dir).unwrap();
+    cat.add("hs", &hs).unwrap();
+    cat.add("sc", &sc).unwrap();
+
+    // The file is named after its first entry; removing that entry keeps
+    // it for the other one.
+    cat.remove("hs").unwrap();
+    assert_eq!(files_with_ext(&cat_dir, "pages"), ["hs.pages"]);
+    assert_same_run(&sc, &*cat.load("sc", CACHE).unwrap(), &queries, "sc after removing hs");
+
+    // A new entry reusing the freed label must not overwrite the file
+    // `sc` still reads: its pages go under a fresh stem.
+    cat.add("hs", &kd).unwrap();
+    assert_eq!(files_with_ext(&cat_dir, "pages"), ["hs-1.pages", "hs.pages"]);
+    let reopened = SnapshotCatalog::open(&cat_dir).unwrap();
+    assert_eq!(
+        reopened.entries().iter().map(|e| (e.label.as_str(), e.pages.as_str())).collect::<Vec<_>>(),
+        [("sc", "hs"), ("hs", "hs-1")]
+    );
+    assert_same_run(&sc, &*reopened.load("sc", CACHE).unwrap(), &queries, "sc after reuse");
+    assert_same_run(&kd, &*reopened.load("hs", CACHE).unwrap(), &queries, "kd under hs");
+
+    // Dropping the last reference deletes the file; re-adding an entry
+    // on the same device then writes it again.
+    cat.remove("sc").unwrap();
+    assert_eq!(files_with_ext(&cat_dir, "pages"), ["hs-1.pages"]);
+    cat.add("sc", &sc).unwrap();
+    assert_eq!(files_with_ext(&cat_dir, "pages"), ["hs-1.pages", "sc.pages"]);
+    assert_same_run(&sc, &*cat.load("sc", CACHE).unwrap(), &queries, "sc re-added");
+
+    cat.remove("sc").unwrap();
+    cat.remove("hs").unwrap();
+    assert!(files_with_ext(&cat_dir, "pages").is_empty(), "no orphan pages file");
+    assert_eq!(files_with_ext(&cat_dir, "meta"), ["__catalog.meta"]);
 }
 
 #[test]

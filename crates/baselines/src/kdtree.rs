@@ -7,6 +7,7 @@
 //! every leaf box straddles a near-diagonal query line, so queries take
 //! Ω(n) IOs no matter how small the output — the motivation for Section 3.
 
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
 
 use crate::BaselineStats;
@@ -282,8 +283,7 @@ impl ExternalKdTree {
         if self.n > 0 {
             self.visit_topk(0, m, c, &mut stats, &mut cand);
         }
-        cand.sort_unstable();
-        cand.truncate(k);
+        smallest_k(&mut cand, k);
         let out: Vec<u32> = cand.into_iter().map(|(_, id)| id).collect();
         stats.reported = out.len();
         stats.ios = self.dev.stats().since(before).total();

@@ -7,6 +7,7 @@
 //! for halfspace reports, completing the scan baseline across every query
 //! class of the engine's query vocabulary (halfplane, halfspace, k-NN).
 
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, SnapshotError, VecFile};
 
 use crate::BaselineStats;
@@ -103,9 +104,10 @@ impl ExternalScan {
         (out, stats)
     }
 
-    /// The `k` nearest neighbors of `(x, y)` by full scan: Euclidean
-    /// distances sorted, ties broken by id — the same reporting order as
-    /// `lcrs_halfspace::KnnStructure`, so the two are answer-identical.
+    /// The `k` nearest neighbors of `(x, y)` by full scan: the `k`
+    /// smallest Euclidean distances, ascending, ties broken by id — the
+    /// same reporting order as `lcrs_halfspace::KnnStructure`, so the two
+    /// are answer-identical.
     ///
     /// Exact for the full i64 coordinate range (the scan has no budget,
     /// unlike the k-NN structure's lift): a coordinate delta spans up to
@@ -120,8 +122,8 @@ impl ExternalScan {
             d.push(((carry, lo), id));
             true
         });
-        d.sort_unstable();
-        d.into_iter().take(k).map(|(_, i)| i).collect()
+        smallest_k(&mut d, k);
+        d.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Report points inside the disk of center `(x, y)` and squared
@@ -195,8 +197,7 @@ impl ExternalScan {
             }
             true
         });
-        cand.sort_unstable();
-        cand.truncate(k);
+        smallest_k(&mut cand, k);
         let out: Vec<u32> = cand.into_iter().map(|(_, id)| id).collect();
         let stats = BaselineStats {
             ios: self.dev.stats().since(before).total(),

@@ -12,6 +12,7 @@
 use lcrs_baselines::{ExternalKdTree, ExternalScan, ExternalScan3, StrRTree};
 use lcrs_engine::{encode_sum, IndexSet, LiftedIndex, LiftedKind, Query};
 use lcrs_extmem::DeviceHandle;
+use lcrs_geom::lift::{dist2_carry, in_disk};
 use lcrs_geom::point::PointD;
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
@@ -191,9 +192,10 @@ pub fn canon_answer(q: &Query, mut ids: Vec<u64>) -> Vec<u64> {
 }
 
 /// Host-side brute force in canonical form (sorted ids for reports,
-/// `(distance, id)` order for k-NN), with `i128` widening so no
-/// coefficient range overflows — ONE reference implementation shared by
-/// the planner and sharding differential suites. Ids are input indices
+/// `(distance, id)` order for k-NN), with `i128` widening (carry-aware
+/// `u128` for squared distances) so no coefficient range overflows — ONE
+/// reference implementation shared by the planner and sharding
+/// differential suites. Ids are input indices
 /// (2D for halfplane/k-NN, 3D for halfspace).
 pub fn brute_answer(q: &Query, pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)]) -> Vec<u64> {
     match *q {
@@ -232,13 +234,10 @@ pub fn brute_answer(q: &Query, pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)]) ->
             ids
         }
         Query::Knn { x, y, k } => {
-            let mut d: Vec<(i128, u64)> = pts2
+            let mut d: Vec<((bool, u128), u64)> = pts2
                 .iter()
                 .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (dx, dy) = (x as i128 - a as i128, y as i128 - b as i128);
-                    (dx * dx + dy * dy, i as u64)
-                })
+                .map(|(i, &(a, b))| (dist2_carry(x, y, a, b), i as u64))
                 .collect();
             d.sort_unstable();
             d.into_iter().take(k).map(|(_, i)| i).collect()
@@ -247,15 +246,7 @@ pub fn brute_answer(q: &Query, pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)]) ->
             let mut ids: Vec<u64> = pts2
                 .iter()
                 .enumerate()
-                .filter(|(_, &(px, py))| {
-                    let (dx, dy) = (x as i128 - px as i128, y as i128 - py as i128);
-                    let d2 = dx * dx + dy * dy;
-                    if inclusive {
-                        d2 <= r2 as i128
-                    } else {
-                        d2 < r2 as i128
-                    }
-                })
+                .filter(|(_, &(px, py))| in_disk(x, y, r2, px, py, inclusive))
                 .map(|(i, _)| i as u64)
                 .collect();
             ids.sort_unstable();

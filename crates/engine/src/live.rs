@@ -54,6 +54,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{
     Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, ReopenBackend, SnapshotError,
 };
@@ -195,8 +196,7 @@ impl RangeIndex for LiveLevel {
                     .map(|&(x, y, tag)| (y as i128 - m as i128 * x as i128, tag))
                     .filter(|&(key, _)| key <= c as i128)
                     .collect();
-                cand.sort_unstable();
-                cand.truncate(k);
+                smallest_k(&mut cand, k);
                 Ok(cand.into_iter().map(|(_, tag)| tag).collect())
             }
             Query::Disk { x, y, r2, inclusive } => Ok(self

@@ -237,6 +237,15 @@ pub(crate) fn unsupported(name: &'static str, q: &Query) -> Result<Vec<u64>, Uns
     Err(Unsupported { index: name, query: *q })
 }
 
+/// Whether a [`HalfspaceRS3`] locates the lowest planes at `(x, y)`
+/// exactly ([`lcrs_geom::MAX_QUERY_3D`]). Structures querying one gate
+/// `supports` on it, so the planner sends queries outside the budget to
+/// an exact scan instead.
+fn in_3d_query_budget(x: i64, y: i64) -> bool {
+    x.unsigned_abs() <= lcrs_geom::MAX_QUERY_3D as u64
+        && y.unsigned_abs() <= lcrs_geom::MAX_QUERY_3D as u64
+}
+
 impl RangeIndex for HalfspaceRS2 {
     fn name(&self) -> &'static str {
         "hs2d"
@@ -382,8 +391,9 @@ impl RangeIndex for HalfspaceRS3 {
         HalfspaceRS3::device(self)
     }
 
+    /// Halfspaces whose gradient is within [`lcrs_geom::MAX_QUERY_3D`].
     fn supports(&self, q: &Query) -> bool {
-        matches!(q, Query::Halfspace { .. })
+        matches!(*q, Query::Halfspace { u, v, .. } if in_3d_query_budget(u, v))
     }
 
     fn cost_hint(&self) -> CostHint {
@@ -392,7 +402,7 @@ impl RangeIndex for HalfspaceRS3 {
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
-            Query::Halfspace { u, v, w, inclusive } => {
+            Query::Halfspace { u, v, w, inclusive } if RangeIndex::supports(self, q) => {
                 Ok(widen(self.query_below(u, v, w, inclusive)))
             }
             _ => unsupported(RangeIndex::name(self), q),
@@ -417,8 +427,9 @@ impl RangeIndex for HybridTree3 {
         HybridTree3::device(self)
     }
 
+    /// Halfspaces whose gradient is within [`lcrs_geom::MAX_QUERY_3D`].
     fn supports(&self, q: &Query) -> bool {
-        matches!(q, Query::Halfspace { .. })
+        matches!(*q, Query::Halfspace { u, v, .. } if in_3d_query_budget(u, v))
     }
 
     fn cost_hint(&self) -> CostHint {
@@ -427,7 +438,7 @@ impl RangeIndex for HybridTree3 {
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
-            Query::Halfspace { u, v, w, inclusive } => {
+            Query::Halfspace { u, v, w, inclusive } if RangeIndex::supports(self, q) => {
                 Ok(widen(self.query_below(u, v, w, inclusive)))
             }
             _ => unsupported(RangeIndex::name(self), q),
@@ -490,10 +501,12 @@ impl RangeIndex for KnnStructure {
     /// The k-NN structure already lives on the paraboloid lift, so it
     /// answers [`Query::Disk`] directly ([`KnnStructure::within_radius`])
     /// for non-empty disks whose center keeps the lifted plane exact
-    /// (`|x|, |y| ≤ 2^21` — [`lcrs_geom::lift::MAX_DISK_CENTER`]).
+    /// (`|x|, |y| ≤ 2^21` — [`lcrs_geom::lift::MAX_DISK_CENTER`]). k-NN
+    /// queries locate the lowest lifted planes at the query point, so
+    /// they are held to [`lcrs_geom::MAX_QUERY_3D`].
     fn supports(&self, q: &Query) -> bool {
         match *q {
-            Query::Knn { .. } => true,
+            Query::Knn { x, y, .. } => in_3d_query_budget(x, y),
             Query::Disk { x, y, r2, .. } => {
                 r2 >= 0
                     && x.unsigned_abs() <= lcrs_geom::lift::MAX_DISK_CENTER as u64
@@ -509,7 +522,9 @@ impl RangeIndex for KnnStructure {
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
-            Query::Knn { x, y, k } => Ok(widen(self.k_nearest(x, y, k))),
+            Query::Knn { x, y, k } if RangeIndex::supports(self, q) => {
+                Ok(widen(self.k_nearest(x, y, k)))
+            }
             Query::Disk { x, y, r2, inclusive } if RangeIndex::supports(self, q) => {
                 Ok(widen(self.within_radius(x, y, r2, inclusive)))
             }

@@ -46,10 +46,12 @@
 
 use std::path::{Path, PathBuf};
 
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{
     Device, DeviceConfig, DeviceHandle, IoDelta, MetaReader, MetaWriter, ReopenBackend,
     SnapshotError,
 };
+use lcrs_geom::lift::dist2_carry;
 use lcrs_halfspace::partition::{partition2, partition3, Partition2, Partition3};
 use lcrs_halfspace::{ShardRegion2, ShardRegion3};
 
@@ -464,9 +466,10 @@ impl ShardedIndexSet {
             total += report.total;
         }
 
-        // Canonical merge order: sorted global ids for reports; exact
-        // (distance², id) for k-NN and (key, id) for top-k, truncated to
-        // k; aggregates re-encode their summed scalars — identical to
+        // Canonical merge order: sorted global ids for reports; the k
+        // smallest exact (distance², id) for k-NN — carry-aware, since a
+        // coordinate delta spans 65 bits — and (key, id) for top-k;
+        // aggregates re-encode their summed scalars — identical to
         // the unsharded structures' canonical answer form. A supported
         // aggregate whose every shard was pruned still answers (zero).
         let mut outcomes = Vec::with_capacity(queries.len());
@@ -476,21 +479,19 @@ impl ShardedIndexSet {
             let mut ids = std::mem::take(&mut candidates[qi]);
             match *q {
                 Query::Knn { x, y, k } => {
-                    let mut ranked: Vec<(i128, u64)> = ids
+                    let mut ranked: Vec<((bool, u128), u64)> = ids
                         .iter()
                         .map(|&gid| {
-                            let shard_local = self.locate2(gid as u32);
-                            let (px, py) = shard_local;
-                            let (dx, dy) = (x as i128 - px as i128, y as i128 - py as i128);
-                            (dx * dx + dy * dy, gid)
+                            let (px, py) = self.locate2(gid as u32);
+                            (dist2_carry(x, y, px, py), gid)
                         })
                         .collect();
-                    ranked.sort_unstable();
-                    ids = ranked.into_iter().take(k).map(|(_, gid)| gid).collect();
+                    smallest_k(&mut ranked, k);
+                    ids = ranked.into_iter().map(|(_, gid)| gid).collect();
                 }
                 Query::TopK { m, c: _, k } => {
                     // Each shard already filtered to key ≤ c; re-rank the
-                    // union by the exact key and truncate, like k-NN.
+                    // union by the exact key and keep k, like k-NN.
                     let mut ranked: Vec<(i128, u64)> = ids
                         .iter()
                         .map(|&gid| {
@@ -498,8 +499,8 @@ impl ShardedIndexSet {
                             (py as i128 - m as i128 * px as i128, gid)
                         })
                         .collect();
-                    ranked.sort_unstable();
-                    ids = ranked.into_iter().take(k).map(|(_, gid)| gid).collect();
+                    smallest_k(&mut ranked, k);
+                    ids = ranked.into_iter().map(|(_, gid)| gid).collect();
                 }
                 Query::Count { .. } if self.supports(q) => ids = vec![agg_count[qi]],
                 Query::Sum { .. } if self.supports(q) => {

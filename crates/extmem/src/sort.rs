@@ -1,10 +1,14 @@
-//! External merge sort.
+//! External merge sort, and the in-memory k-selection of ranked answers.
 //!
 //! Standard two-phase sort: read runs of `mem_records` items, sort them in
 //! internal memory, write sorted runs; then merge all runs with a binary
 //! heap, reading each run page by page. With `R` runs and memory for
 //! `R + 1` page buffers this is the textbook O(n log_{M/B} n) IO sort — the
 //! construction algorithms of the paper assume its existence.
+//!
+//! [`smallest_k`] is the host-side half of every ranked query (k-NN,
+//! top-k, the k lowest planes): the candidates are already in memory, so
+//! only the `k` smallest need ordering.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -89,6 +93,22 @@ where
     out.finish()
 }
 
+/// Keep the `k` smallest items of `v`, in ascending order: O(n + k log k)
+/// — a linear-time selection, then a sort of the `k`-prefix only.
+///
+/// The result equals `v.sort_unstable(); v.truncate(k)` item for item:
+/// the k smallest form the same multiset either way, and items that
+/// compare equal under a derived (structural) `Ord` are identical. Every
+/// ranked key in the workspace ends in a unique id, so its order is
+/// total and answers are bit-identical to a full sort.
+pub fn smallest_k<T: Ord>(v: &mut Vec<T>, k: usize) {
+    if k < v.len() {
+        v.select_nth_unstable(k);
+        v.truncate(k);
+    }
+    v.sort_unstable();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,5 +169,34 @@ mod tests {
         let mut expect = data.clone();
         expect.sort();
         assert_eq!(sorted.read_all(), expect);
+    }
+
+    /// Sort-then-truncate, the reference [`smallest_k`] must reproduce.
+    fn sort_truncate<T: Ord + Clone>(v: &[T], k: usize) -> Vec<T> {
+        let mut w = v.to_vec();
+        w.sort_unstable();
+        w.truncate(k);
+        w
+    }
+
+    #[test]
+    fn smallest_k_matches_sort_then_truncate_at_every_boundary() {
+        let mut x = 11u64;
+        let data: Vec<(i128, u32)> = (0..97u32)
+            .map(|id| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
+                (((x >> 20) % 40) as i128 - 20, id)
+            })
+            .collect();
+        // All-equal keys: the unique id alone decides the order.
+        let flat: Vec<(i128, u32)> = (0..64u32).rev().map(|id| (7, id)).collect();
+        for v in [data, flat, Vec::new()] {
+            let n = v.len();
+            for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+                let mut got = v.clone();
+                smallest_k(&mut got, k);
+                assert_eq!(got, sort_truncate(&v, k), "n={n} k={k}");
+            }
+        }
     }
 }

@@ -25,8 +25,10 @@
 //!
 //! All predicates are exact in `i128` provided inputs respect:
 //! * 2D points and query lines: `|coordinate| <= 2^30` ([`MAX_COORD_2D`]);
-//! * 3D plane coefficients: `|a|,|b| <= 2^20`, `|c| <= 2^21`, and query
-//!   points `|x|,|y| <= 2^22` ([`MAX_COORD_3D`]);
+//! * 3D plane coefficients: `|a|,|b| <= 2^20`, `|c| <= 2^21`
+//!   ([`MAX_COORD_3D`]), and query points `|x|,|y| <= 2^22`
+//!   ([`MAX_QUERY_3D`] — for a primal halfspace `z <= u·x + v·y + w`,
+//!   the gradient `|u|,|v|`);
 //! * paraboloid-lift inputs (k-NN and lifted disk structures):
 //!   `|x|,|y| <= 1024` ([`lift::MAX_LIFT_COORD`] — squares must fit the
 //!   3D budget), disk centers `|x|,|y| <= 2^21`
@@ -52,6 +54,11 @@ pub const MAX_COORD_2D: i64 = 1 << 30;
 /// Maximum absolute value of 3D plane gradient coefficients `a`, `b`
 /// (intercepts `c` may be up to twice this) for exact predicates.
 pub const MAX_COORD_3D: i64 = 1 << 20;
+
+/// Maximum absolute query location `(x, y)` at which the 3D structures
+/// locate the lowest planes exactly (the gradient `u`, `v` of a primal
+/// halfspace query). Queries beyond it belong to an exact scan.
+pub const MAX_QUERY_3D: i64 = 1 << 22;
 
 pub use line2::Line2;
 pub use plane3::Plane3;

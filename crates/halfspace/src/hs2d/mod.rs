@@ -15,9 +15,8 @@
 
 pub mod cluster;
 
-use std::collections::HashSet;
-
 use lcrs_extmem::btree::BPlusTree;
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
 use lcrs_geom::dual::point2_to_line;
 use lcrs_geom::line2::Line2;
@@ -230,7 +229,7 @@ impl ClusteringDisk {
         px: i64,
         py: i64,
         inclusive: bool,
-        above: Option<&mut HashSet<u32>>,
+        above: Option<&mut IdSet>,
         stats: &mut QueryStats,
     ) -> (usize, (u64, i128), (u64, i128)) {
         let a = self.aggs.get(k);
@@ -273,6 +272,34 @@ impl ClusteringDisk {
             }
         }
         (n_below, new, carry)
+    }
+}
+
+/// A set of line ids over the dense range `0..n_lines`, one bit per line:
+/// the cascade's report dedup and its Lemma 3.4 above-line counts. Line
+/// ids are dense by construction (point indices when the input had no
+/// duplicates, unique-line indices otherwise), so no hashing is needed.
+struct IdSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IdSet {
+    fn new(n_lines: usize) -> IdSet {
+        IdSet { words: vec![0; n_lines.div_ceil(64)], len: 0 }
+    }
+
+    /// Add `id`; `true` when it was not in the set yet.
+    fn insert(&mut self, id: u32) -> bool {
+        let (word, bit) = (&mut self.words[id as usize / 64], 1u64 << (id % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -625,6 +652,11 @@ impl HalfspaceRS2 {
         }
         let n_points = r.usize()?;
         let n_lines = r.usize()?;
+        // Every line sits in some cluster; the bound keeps the per-query
+        // id sets (sized by `n_lines`) within the pages actually stored.
+        if n_lines > clusterings.iter().map(|c| c.lines.len()).sum::<usize>() {
+            return Err(r.error(format!("{n_lines} lines exceed the clustered records")));
+        }
         let beta = r.usize()?;
         let group_dir = if r.opt()? { Some(VecFile::load(h, r)?) } else { None };
         let group_pts = if r.opt()? { Some(VecFile::load(h, r)?) } else { None };
@@ -690,7 +722,7 @@ impl HalfspaceRS2 {
             }
         };
 
-        let mut reported_ids: HashSet<u32> = HashSet::new();
+        let mut reported_ids = IdSet::new(self.n_lines);
         let mut out: Vec<LineRec> = Vec::new();
         let mut stats = QueryStats::default();
         let mut report = |r: &LineRec, out: &mut Vec<LineRec>| {
@@ -723,7 +755,7 @@ impl HalfspaceRS2 {
                 break 'clusterings;
             }
             // Rightward scan (Lemma 3.4).
-            let mut above_right: HashSet<u32> = HashSet::new();
+            let mut above_right = IdSet::new(self.n_lines);
             for k in j + 1..g.n_clusters {
                 read_cluster(k, &mut buf);
                 stats.clusters_read += 1;
@@ -739,7 +771,7 @@ impl HalfspaceRS2 {
                 }
             }
             // Leftward scan.
-            let mut above_left: HashSet<u32> = HashSet::new();
+            let mut above_left = IdSet::new(self.n_lines);
             for k in (0..j).rev() {
                 read_cluster(k, &mut buf);
                 stats.clusters_read += 1;
@@ -835,7 +867,7 @@ impl HalfspaceRS2 {
             let mut edge_carry = carry_j;
             // Rightward scan (Lemma 3.4): runs of below lines seen here
             // start within the interval, so `new` totals cover them.
-            let mut above_right: HashSet<u32> = HashSet::new();
+            let mut above_right = IdSet::new(self.n_lines);
             for k in j + 1..g.n_clusters {
                 let (_, new_k, _) =
                     g.aggregate_cluster(k, px, py, inclusive, Some(&mut above_right), &mut stats);
@@ -846,7 +878,7 @@ impl HalfspaceRS2 {
                 }
             }
             // Leftward scan.
-            let mut above_left: HashSet<u32> = HashSet::new();
+            let mut above_left = IdSet::new(self.n_lines);
             for k in (0..j).rev() {
                 let (_, new_k, carry_k) =
                     g.aggregate_cluster(k, px, py, inclusive, Some(&mut above_left), &mut stats);
@@ -909,8 +941,7 @@ impl HalfspaceRS2 {
             }
             cand = out;
         }
-        cand.sort_unstable();
-        cand.truncate(k);
+        smallest_k(&mut cand, k);
         let result: Vec<u32> = cand.into_iter().map(|(_, id)| id).collect();
         stats.reported = result.len();
         stats.ios = self.dev.stats().since(before).total();
@@ -950,6 +981,8 @@ mod tests {
         v
     }
 
+    /// Report, aggregate and top-k against brute force on one query
+    /// stream: the three paths share the cluster cascade and its id sets.
     fn check_queries(points: &[(i64, i64)], hs: &HalfspaceRS2, seed: u64, trials: usize) {
         let mut s = seed;
         let mut next = move || {
@@ -963,13 +996,18 @@ mod tests {
             got.sort_unstable();
             let want = brute_force(points, m, c, inclusive);
             assert_eq!(got, want, "query y <= {m}x+{c} (inclusive={inclusive})");
+            let agg = hs.aggregate_below(m, c, inclusive);
+            assert_eq!(agg, brute_agg(points, m, c, inclusive), "aggregate {m},{c},{inclusive}");
+            let k = [1, 7, 64, 65, points.len()][t % 5];
+            assert_eq!(hs.top_k(m, c, k), brute_topk(points, m, c, k), "top-{k} {m},{c}");
         }
     }
 
     #[test]
     fn tiny_inputs() {
         let dev = Device::new(DeviceConfig::new(256, 0));
-        for n in [0usize, 1, 2, 5] {
+        // 63/65/129 lines put ids on both sides of the id-set word edges.
+        for n in [0usize, 1, 2, 5, 63, 64, 65, 129] {
             let pts = pseudo_points(n, 9 + n as u64, 1000);
             let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
             check_queries(&pts, &hs, 1, 20);
@@ -1008,6 +1046,18 @@ mod tests {
         let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
         assert!(hs.unique_points() < pts.len());
         check_queries(&pts, &hs, 11, 40);
+
+        // Duplicate-heavy: 97 distinct points (not a multiple of the
+        // 64-id word), each repeated 1–5 times, on small pages so the
+        // cascade has several clusterings.
+        let dev = Device::new(DeviceConfig::new(128, 0));
+        let base = pseudo_points(97, 12, 1 << 20);
+        let pts: Vec<(i64, i64)> =
+            base.iter().enumerate().flat_map(|(i, &p)| std::iter::repeat_n(p, 1 + i % 5)).collect();
+        let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
+        assert_eq!(hs.unique_points(), 97);
+        assert!(hs.num_clusterings() > 1, "want a multi-level cascade");
+        check_queries(&pts, &hs, 17, 60);
     }
 
     #[test]

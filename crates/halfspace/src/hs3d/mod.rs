@@ -23,10 +23,12 @@
 //! backstops the vanishing-probability cascade of failures.
 
 use crate::cost::{CostHint, CostShape};
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
 use lcrs_geom::dual::point3_to_plane;
 use lcrs_geom::hull3::{LowerHull, SnapFacet};
 use lcrs_geom::plane3::Plane3;
+use lcrs_geom::MAX_QUERY_3D;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -197,8 +199,8 @@ pub struct HalfspaceRS3 {
 
 impl HalfspaceRS3 {
     /// Preprocess 3D points (|x|,|y| ≤ 2^20, |z| ≤ 2^21) so that the points
-    /// below a query plane `z = u·x + v·y + w` (|u|,|v| ≤ 2^22) can be
-    /// reported.
+    /// below a query plane `z = u·x + v·y + w` (|u|,|v| ≤ 2^22,
+    /// [`MAX_QUERY_3D`]) can be reported.
     pub fn build(dev: &DeviceHandle, points: &[(i64, i64, i64)], cfg: Hs3dConfig) -> HalfspaceRS3 {
         let planes: Vec<Plane3> =
             points.iter().map(|&(a, b, c)| point3_to_plane(a, b, c)).collect();
@@ -594,39 +596,36 @@ impl HalfspaceRS3 {
         }
         let mut buf: Vec<ConfRec> = Vec::with_capacity(len as usize);
         layer.level.conflicts.read_range(off as usize..(off + len as u64) as usize, &mut buf);
-        let mut below: Vec<(u32, i128)> = buf
+        let below: Vec<(i128, u32)> = buf
             .into_iter()
             .filter_map(|((pa, pb, pc), id)| {
                 let v = Plane3::new(pa, pb, pc).eval(x, y);
-                (v < env_val).then_some((id, v))
+                (v < env_val).then_some((v, id))
             })
             .collect();
         if below.len() < k {
             // The sample's envelope plane ranks within the k lowest: fail.
             return Ok(None);
         }
-        below.sort_by_key(|&(id, v)| (v, id));
-        below.truncate(k);
-        Ok(Some(below))
+        Ok(Some(lowest_k(below, k)))
     }
 
-    /// All (plane id, value) pairs sorted ascending by value — the always-
-    /// correct fallback costing n IOs.
-    fn full_scan(&self, x: i64, y: i64) -> Vec<(u32, i128)> {
-        let mut all: Vec<(u32, i128)> = Vec::with_capacity(self.n);
+    /// The `k` lowest (plane id, value) pairs over every plane — the
+    /// always-correct fallback costing n IOs.
+    fn full_scan(&self, x: i64, y: i64, k: usize) -> Vec<(u32, i128)> {
+        let mut all: Vec<(i128, u32)> = Vec::with_capacity(self.n);
         self.planes.scan_while(|i, (a, b, c)| {
-            all.push((i as u32, Plane3::new(a, b, c).eval(x, y)));
+            all.push((Plane3::new(a, b, c).eval(x, y), i as u32));
             true
         });
-        all.sort_by_key(|&(id, v)| (v, id));
-        all
+        lowest_k(all, k)
     }
 
     /// The k lowest planes along the vertical line at (x, y), with certainty
-    /// (Theorem 4.2 wrapper).
+    /// (Theorem 4.2 wrapper). `|x|, |y|` must be within [`MAX_QUERY_3D`].
     pub fn k_lowest(&self, x: i64, y: i64, k: usize, stats: &mut QueryStats3) -> Vec<(u32, i128)> {
         assert!(
-            x.abs() <= (1 << 22) && y.abs() <= (1 << 22),
+            x.unsigned_abs() <= MAX_QUERY_3D as u64 && y.unsigned_abs() <= MAX_QUERY_3D as u64,
             "query location outside the 3D region budget"
         );
         let k = k.min(self.n);
@@ -636,9 +635,7 @@ impl HalfspaceRS3 {
         if 16 * k >= self.n || self.copies[0].layers.is_empty() {
             // Output comparable to n: a scan is already optimal.
             stats.full_scans += 1;
-            let mut v = self.full_scan(x, y);
-            v.truncate(k);
-            return v;
+            return self.full_scan(x, y, k);
         }
         for delta_exp in 1..=self.cfg.max_delta_exp {
             for c in &self.copies {
@@ -648,17 +645,13 @@ impl HalfspaceRS3 {
                     Ok(None) => {}
                     Err(()) => {
                         stats.full_scans += 1;
-                        let mut v = self.full_scan(x, y);
-                        v.truncate(k);
-                        return v;
+                        return self.full_scan(x, y, k);
                     }
                 }
             }
         }
         stats.full_scans += 1;
-        let mut v = self.full_scan(x, y);
-        v.truncate(k);
-        v
+        self.full_scan(x, y, k)
     }
 
     /// Report all points strictly below the plane `z = u·x + v·y + w`
@@ -701,6 +694,13 @@ impl HalfspaceRS3 {
         stats.ios = self.dev.stats().since(before).total();
         (out, stats)
     }
+}
+
+/// The `k` lowest `(value, id)` pairs of `v`, ascending, as the
+/// `(id, value)` pairs [`HalfspaceRS3::k_lowest`] reports.
+fn lowest_k(mut v: Vec<(i128, u32)>, k: usize) -> Vec<(u32, i128)> {
+    smallest_k(&mut v, k);
+    v.into_iter().map(|(val, id)| (id, val)).collect()
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use lcrs_extmem::sort::smallest_k;
 use lcrs_extmem::{Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, SnapshotError};
 
 use crate::cost::{CostHint, CostShape};
@@ -579,8 +580,7 @@ impl LeveledHalfspace2 {
                 cand.push((key, tag));
             }
         });
-        cand.sort_unstable();
-        cand.truncate(k);
+        smallest_k(&mut cand, k);
         cand.into_iter().map(|(_, tag)| tag).collect()
     }
 

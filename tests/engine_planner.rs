@@ -21,14 +21,22 @@
 //!   reopened set makes identical plan decisions without re-probing;
 //! * (property) no plan ever routes a query to a structure whose
 //!   `supports()` rejects it, scan plans stay on scan-class structures,
-//!   and the planned choice never predicts worse than the worst choice.
+//!   and the planned choice never predicts worse than the worst choice;
+//! * queries outside the 3D structures' query budget route to the exact
+//!   scans instead of reaching a structure that cannot answer them.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use lcrs::baselines::ExternalScan;
-use lcrs::engine::{BatchExecutor, IndexSet, Plan, Query, QueryStatus, SnapshotCatalog};
+use lcrs::baselines::{ExternalScan, ExternalScan3};
+use lcrs::engine::{
+    BatchExecutor, IndexSet, Plan, Query, QueryStatus, RangeIndex, SnapshotCatalog,
+};
 use lcrs::extmem::{Device, DeviceConfig, ReopenBackend, TempDir};
+use lcrs::geom::MAX_QUERY_3D;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
+use lcrs::halfspace::hs3d::Hs3dConfig;
+use lcrs::halfspace::tradeoff::HybridConfig;
+use lcrs::halfspace::{HalfspaceRS3, HybridTree3, KnnStructure};
 use lcrs::workloads::{points2, points3, Dist2, Dist3};
 use lcrs_bench::{brute_answer, canon_answer, full_index_set, lifted_oracle, lifted_probes};
 use proptest::prelude::*;
@@ -318,6 +326,71 @@ fn uncalibrated_sets_rank_by_the_paper_shapes() {
     let report = empty.execute_plan(&[q], &plan, true);
     assert_eq!(report.unsupported(), 1);
     assert_eq!(report.total, lcrs::extmem::IoDelta::default());
+}
+
+#[test]
+fn out_of_budget_queries_route_to_the_exact_scans() {
+    // hs3d, tradeoff-hybrid (hs3d leaves) and knn locate the lowest
+    // planes at the query point, which is exact only within MAX_QUERY_3D.
+    // Uncalibrated, each ranks below its scan, so without the budget gate
+    // the planner would route every query below to it.
+    let pts2 = points2(Dist2::Uniform, 300, 1000, 95);
+    let pts3 = points3(Dist3::Uniform, 300, 1 << 16, 96);
+    let dev = Device::new(DeviceConfig::new(PAGE, 8));
+    let b = MAX_QUERY_3D;
+    let halfspaces = [
+        Query::Halfspace { u: 1 << 23, v: 0, w: 0, inclusive: true },
+        Query::Halfspace { u: b + 1, v: -3, w: 1 << 30, inclusive: false },
+        Query::Halfspace { u: 2, v: i64::MIN, w: 0, inclusive: true },
+        Query::Halfspace { u: i64::MIN, v: i64::MIN, w: i64::MAX, inclusive: false },
+    ];
+    let knns = [
+        Query::Knn { x: 1 << 23, y: 0, k: 5 },
+        Query::Knn { x: 0, y: -b - 1, k: 9 },
+        Query::Knn { x: i64::MIN, y: i64::MIN, k: 300 },
+    ];
+    let edges3 = [Query::Halfspace { u: b, v: -b, w: 0, inclusive: true }];
+    let edges2 = [Query::Knn { x: -b, y: b, k: 4 }];
+    let sets: [(Box<dyn RangeIndex>, Box<dyn RangeIndex>, &[Query], &[Query]); 3] = [
+        (
+            Box::new(HalfspaceRS3::build(&dev, &pts3, Hs3dConfig::default())),
+            Box::new(ExternalScan3::build(&dev, &pts3)),
+            &halfspaces,
+            &edges3,
+        ),
+        (
+            Box::new(HybridTree3::build(&dev, &pts3, HybridConfig::default())),
+            Box::new(ExternalScan3::build(&dev, &pts3)),
+            &halfspaces,
+            &edges3,
+        ),
+        (
+            Box::new(KnnStructure::build(&dev, &pts2, Hs3dConfig::default())),
+            Box::new(ExternalScan::build(&dev, &pts2)),
+            &knns,
+            &edges2,
+        ),
+    ];
+    for (structure, scan, outside, edges) in sets {
+        let name = structure.name();
+        let mut set = IndexSet::new();
+        let slot = set.add(structure);
+        let scan_slot = set.add(scan);
+        let queries: Vec<Query> = outside.iter().chain(edges).copied().collect();
+        let plan = set.plan(&queries);
+        let mut want_slots = vec![Some(scan_slot); outside.len()];
+        want_slots.extend(vec![Some(slot); edges.len()]);
+        assert_eq!(plan.assignments, want_slots, "{name}: budget edge decides the slot");
+        let report = set.execute_plan(&queries, &plan, true);
+        let answers = report.answers.unwrap();
+        for (qi, q) in queries.iter().enumerate() {
+            assert_eq!(report.outcomes[qi].status, QueryStatus::Ok, "{name} {q:?}");
+            let got = canon_answer(q, answers[qi].clone());
+            assert_eq!(got, brute_answer(q, &pts2, &pts3), "{name} {q:?}");
+        }
+        // Asked directly, the structure refuses with a typed error.
+        assert!(set.structure(slot).try_execute(&outside[0]).is_err(), "{name}");
+    }
 }
 
 /// Check the structural plan invariants for any plan over any queries.

@@ -23,11 +23,14 @@
 //!   broad all-points query fans out to every shard;
 //! * the fan-out cost model orders tiers sensibly: `cheapest_tier`
 //!   prefers more shards for narrow traffic only when routing pays for
-//!   the fan-out.
+//!   the fan-out;
+//! * the k-NN re-rank of the gather is exact for any `i64` query point,
+//!   where a squared distance outgrows `i128`.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use lcrs::baselines::ExternalScan;
 use lcrs::engine::{
     cheapest_tier, IndexSet, Query, QueryStatus, ShardConfig, ShardedIndexSet, ShardedReport,
 };
@@ -288,4 +291,34 @@ fn fanout_cost_model_orders_tiers() {
         assert!(cheapest_tier(&tiers, q).is_some(), "{q:?} must route to a tier");
     }
     assert_eq!(cheapest_tier(&[], &st.queries[0]), None);
+}
+
+#[test]
+fn knn_gather_ranks_exactly_at_i64_extremes() {
+    // A query at i64::MIN is 2^63 away from every point: each squared
+    // delta is ~2^126 and their sum overflows i128. The gather must rank
+    // exactly like the unsharded scan, which carries the 129th bit.
+    let pts2: Vec<(i64, i64)> = (0..64).map(|i| (i % 8 * 8 - 32, i / 8 * 8 - 29)).collect();
+    let pts3: Vec<(i64, i64, i64)> = vec![(0, 0, 0), (1, 1, 1)];
+    let cfg = DeviceConfig::new(PAGE, CACHE_PAGES);
+    let sharded = ShardedIndexSet::build(
+        &pts2,
+        &pts3,
+        &ShardConfig { shards: 2, device: cfg },
+        |h2, _, p2, _| {
+            let mut set = IndexSet::new();
+            set.add(Box::new(ExternalScan::build(h2, p2)));
+            set
+        },
+    );
+    let dev = Device::new(cfg);
+    let scan = ExternalScan::build(&dev, &pts2);
+    for (x, y) in [(i64::MIN, i64::MIN), (i64::MAX, i64::MIN), (i64::MIN, 0)] {
+        let q = Query::Knn { x, y, k: 64 };
+        let report = sharded.execute(&[q], true);
+        assert_eq!(report.outcomes[0].status, QueryStatus::Ok);
+        let want: Vec<u64> = scan.k_nearest(x, y, 64).into_iter().map(u64::from).collect();
+        assert_eq!(report.answers.unwrap()[0], want, "k-NN at ({x}, {y})");
+        assert_eq!(want, brute_answer(&q, &pts2, &pts3), "scan vs brute force at ({x}, {y})");
+    }
 }

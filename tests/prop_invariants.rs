@@ -4,10 +4,12 @@
 //! * the B+-tree behaves like `BTreeMap` under arbitrary operation
 //!   sequences;
 //! * the greedy clustering respects the Lemma 3.2 bounds for arbitrary k;
-//! * box classification agrees with corner enumeration in any dimension.
+//! * box classification agrees with corner enumeration in any dimension;
+//! * k-selection of ranked answers equals sort-then-truncate.
 
 use lcrs::engine::{LiftedIndex, LiftedKind};
 use lcrs::extmem::btree::BPlusTree;
+use lcrs::extmem::sort::smallest_k;
 use lcrs::extmem::{Device, DeviceConfig};
 use lcrs::geom::lift::MAX_DISK_CENTER;
 use lcrs::geom::point::{BoxSide, HyperplaneD, PointD};
@@ -217,6 +219,23 @@ proptest! {
         d.sort();
         d.truncate(k);
         let want: Vec<u32> = d.into_iter().map(|(_, i)| i).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn smallest_k_equals_sort_then_truncate(
+        keys in prop::collection::vec(-8i64..8, 0..200),
+        k in 0usize..220,
+    ) {
+        // Few distinct keys, so most ranks tie on the key and the
+        // unique id decides — the shape of every ranked answer.
+        let v: Vec<(i128, u32)> =
+            keys.iter().enumerate().map(|(id, &key)| (key as i128, id as u32)).collect();
+        let mut got = v.clone();
+        smallest_k(&mut got, k);
+        let mut want = v;
+        want.sort_unstable();
+        want.truncate(k);
         prop_assert_eq!(got, want);
     }
 }
